@@ -38,8 +38,6 @@ func main() {
 		"run shard-aware experiments (e13, e14) on the parallel sharded engine (internal/parsim) with this many shards (0/1 = serial; others ignore it)")
 	timeline := flag.String("timeline", "",
 		"single runs: write each run's engine span timeline as Chrome trace-event JSON to this file (multiple experiments insert their id before the extension); needs a parallel sharded run to have spans")
-	ampshard := flag.String("ampshard", "",
-		"path to the cmd/ampshard worker binary; enables the socket-transport leg of wall-clock experiments (e17)")
 
 	sweep := flag.Bool("sweep", false, "sweep experiments × seeds × topology variants")
 	seeds := flag.Int("seeds", 8, "sweep: seeds per variant")
@@ -85,9 +83,6 @@ func main() {
 	}
 
 	p := experiments.Params{Seed: *seed, Nodes: *nodes, Switches: *switches, FiberM: *fiber, Shards: *shards}
-	if *ampshard != "" {
-		p.ShardWorker = []string{*ampshard}
-	}
 	if *exp != "" {
 		ids := strings.Split(*exp, ",")
 		for _, id := range ids {

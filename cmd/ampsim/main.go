@@ -4,8 +4,9 @@
 //
 // Fault schedules are declarative plans: -plan takes semicolon-
 // separated "<offset> <op> <ids>" entries (offsets are relative to the
-// end of boot) and the legacy single-fault flags compile onto the same
-// plan. -report writes the scenario's deterministic JSON report.
+// end of boot). -report writes the scenario's deterministic JSON
+// report; -shards runs the same scenario on the parallel sharded
+// engine, byte-identical report included.
 //
 // Usage examples:
 //
@@ -14,7 +15,7 @@
 //	ampsim -nodes 6 -switches 4 -plan "5ms crash-node 3; 20ms reboot-node 3" -traffic -report run.json
 //	ampsim -fabric dualring -nodes 6 -plan "10ms fail-switch 0" -traffic
 //	ampsim -fabric sharded -nodes 8 -switches 4 -plan "5ms fail-trunk 0; 20ms restore-trunk 0"
-//	ampsim -fabric sharded -nodes 16 -switches 8 -shards 8 -transport socket -plan "5ms fail-trunk 0"
+//	ampsim -fabric sharded -nodes 16 -switches 8 -shards 8 -plan "5ms fail-trunk 0" -timeline tl.json
 package main
 
 import (
@@ -22,8 +23,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"os/exec"
-	"path/filepath"
 	"time"
 
 	ampnet "repro"
@@ -32,25 +31,6 @@ import (
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
-
-// findAmpshard resolves the worker binary for -transport socket: the
-// -ampshard flag if given, else an ampshard sibling of this binary,
-// else $PATH.
-func findAmpshard(flagValue string) (string, error) {
-	if flagValue != "" {
-		return flagValue, nil
-	}
-	if self, err := os.Executable(); err == nil {
-		cand := filepath.Join(filepath.Dir(self), "ampshard")
-		if _, err := os.Stat(cand); err == nil {
-			return cand, nil
-		}
-	}
-	if w, err := exec.LookPath("ampshard"); err == nil {
-		return w, nil
-	}
-	return "", fmt.Errorf("ampsim: -transport socket needs the ampshard worker binary: build cmd/ampshard and pass -ampshard, or put ampshard next to ampsim or on $PATH")
-}
 
 func main() {
 	nodes := flag.Int("nodes", 6, "number of nodes")
@@ -61,20 +41,11 @@ func main() {
 	seed := flag.Uint64("seed", 1, "deterministic seed")
 	runFor := flag.Duration("run", 30*time.Millisecond, "virtual time to run after boot")
 	plan := flag.String("plan", "", `fault plan, e.g. "10ms fail-switch 0; 20ms restore-switch 0"`)
-	failSwitch := flag.Int("fail-switch", -1, "switch to fail (legacy sugar for -plan)")
-	failLinkN := flag.Int("fail-link-node", -1, "node side of a link to fail (legacy sugar)")
-	failLinkS := flag.Int("fail-link-switch", 0, "switch side of the failed link (legacy sugar)")
-	crashNode := flag.Int("crash-node", -1, "node to crash (legacy sugar)")
-	failAt := flag.Duration("fail-at", 10*time.Millisecond, "virtual time of the legacy-flag failure")
 	traffic := flag.Bool("traffic", false, "run a pub/sub load during the scenario")
 	showTrace := flag.Bool("trace", false, "print the event timeline at exit")
 	deep := flag.Bool("deepphy", false, "run every frame through the real 8b/10b datapath")
 	shards := flag.Int("shards", 0,
 		"run on the parallel sharded engine with this many shards (0/1 = serial; reports are byte-identical either way)")
-	transport := flag.String("transport", "inproc",
-		"barrier transport for the sharded engine: inproc (in-process, the default) or socket (one ampshard worker process per shard over loopback TCP)")
-	ampshard := flag.String("ampshard", "",
-		"path to the ampshard worker binary for -transport socket (default: ampshard next to this binary, then $PATH)")
 	wireV := flag.String("wire", "v2",
 		"MicroPacket wire-format version: v1 (one-byte addresses, ≤255 nodes), v2 (uint16 addresses, ≤65535 nodes), or auto")
 	report := flag.String("report", "", "write the deterministic scenario report JSON to this file")
@@ -86,14 +57,6 @@ func main() {
 	p, err := ampnet.ParsePlan(*plan)
 	if err != nil {
 		log.Fatal(err)
-	}
-	switch {
-	case *failSwitch >= 0:
-		p = append(p, ampnet.FailSwitch(vd(*failAt), *failSwitch))
-	case *failLinkN >= 0:
-		p = append(p, ampnet.FailLink(vd(*failAt), *failLinkN, *failLinkS))
-	case *crashNode >= 0:
-		p = append(p, ampnet.CrashNode(vd(*failAt), *crashNode))
 	}
 
 	wv, err := ampnet.ParseWireVersion(*wireV)
@@ -112,15 +75,6 @@ func main() {
 		log.Fatal(err)
 	}
 
-	var worker []string
-	if *transport == "socket" {
-		w, err := findAmpshard(*ampshard)
-		if err != nil {
-			log.Fatal(err)
-		}
-		worker = []string{w}
-	}
-
 	var rec *telemetry.Recorder
 	if *timeline != "" {
 		if *shards <= 1 {
@@ -136,7 +90,6 @@ func main() {
 		Opts: ampnet.Options{
 			Fabric: &topo, FiberMeters: *fiber, Seed: *seed,
 			DeepPHY: *deep, Shards: *shards,
-			Transport: *transport, ShardWorker: worker,
 			Telemetry: rec,
 		},
 		Plan: p,

@@ -14,11 +14,8 @@
 // depends on the host scheduler, breaking serial/parallel Report
 // equality.
 //
-// The rule covers both halves of the engine: repro/internal/parsim
-// (the barrier engine) and repro/internal/shardnet (the transport
-// subsystem whose Inproc implementation owns the shard goroutines and
-// the capture queues, and whose Socket implementation mirrors them to
-// worker processes).
+// The rule covers repro/internal/parsim, which owns the shard
+// goroutines, the capture queues and the barrier.
 //
 // Shard context is computed statically: every function launched by a
 // `go` statement in the package, every method of a type that
@@ -51,16 +48,9 @@ var Analyzer = &analysis.Analyzer{
 	Run: run,
 }
 
-// inScope reports whether the package is a parallel-engine package:
-// parsim (the barrier engine) or shardnet (the transport subsystem the
-// shard goroutines and capture queues moved into).
+// inScope reports whether the package is the parallel engine, parsim.
 func inScope(path string) bool {
-	for _, pkg := range []string{"parsim", "shardnet"} {
-		if path == "repro/internal/"+pkg || path == pkg || strings.HasSuffix(path, "/"+pkg) {
-			return true
-		}
-	}
-	return false
+	return path == "parsim" || strings.HasSuffix(path, "/parsim")
 }
 
 // sanctioned names the capture APIs that are allowed to append into

@@ -1,14 +1,18 @@
 package parsim
 
 // Engine stands in for the parsim coordinator: shared state that only
-// barrier-time code may touch.
+// barrier-time code may touch, plus the per-shard capture queues the
+// sanctioned capture paths append to.
 type Engine struct {
 	now    int
 	frames [][]int
 	seq    []int
+	routes [][]int
 	stats  int
+	tally  []int
+	window int
 	work   []chan int
-	done   chan struct{}
+	done   chan error
 }
 
 var global int
@@ -28,7 +32,7 @@ func (e *Engine) worker(i int, ch chan int) {
 	for range ch {
 		e.now = 1 // want `write to shared coordinator state`
 		e.helper()
-		e.done <- struct{}{} // channel send: communication, fine
+		e.done <- e.runShard(i) // channel send: communication, fine
 		var local struct{ n int }
 		local.n++ // field of a function-local value: fine
 		k := 0
@@ -40,6 +44,22 @@ func (e *Engine) worker(i int, ch chan int) {
 // helper is shard context by propagation: worker calls it.
 func (e *Engine) helper() {
 	e.stats++ // want `write to shared coordinator state`
+}
+
+// runShard is shard context by propagation too: worker calls it.
+func (e *Engine) runShard(i int) (err error) {
+	defer func() {
+		if recover() != nil {
+			err = nil // named result: a plain local, fine
+		}
+	}()
+	e.window++ // want `write to shared coordinator state`
+	return nil
+}
+
+// grant is coordinator context: never reached from shard context.
+func (e *Engine) grant(target int) {
+	e.window++ // coordinator context: fine
 }
 
 // coordinatorDrain is never reached from shard context.
@@ -54,18 +74,34 @@ type exchange struct {
 	shard int
 }
 
-// RemoteFrame is the sanctioned capture path: per-shard appends the
-// coordinator drains at the barrier.
+// RemoteFrame is the sanctioned frame-capture path: per-shard appends
+// the coordinator drains at the barrier.
 func (x *exchange) RemoteFrame(v int) {
 	x.e.frames[x.shard] = append(x.e.frames[x.shard], v)
 	x.e.seq[x.shard]++
+}
+
+// DeferRoute is the sanctioned route-capture path.
+func (x *exchange) DeferRoute(op int) {
+	x.e.routes[x.shard] = append(x.e.routes[x.shard], op)
 }
 
 func (x *exchange) sideDoor(v int) {
 	x.e.stats = v // want `write to shared coordinator state`
 }
 
+// tally is NOT sanctioned: a capture-surface method mutating shared
+// counters outside the sanctioned paths is flagged.
+func (x *exchange) tally(v int) {
+	x.e.tally[x.shard] = v // want `write to shared coordinator state`
+}
+
 func (x *exchange) allowed(v int) {
 	//ampvet:allow shardshare pinned by a barrier in the caller
 	x.e.stats = v
+}
+
+func (x *exchange) allowedSlot(v int) {
+	//ampvet:allow shardshare tally slot is owned by this shard between barriers
+	x.e.tally[x.shard] = v
 }

@@ -15,8 +15,8 @@ import (
 	"repro/internal/enc8b10b"
 	"repro/internal/failover"
 	"repro/internal/frameacct"
+	"repro/internal/parsim"
 	"repro/internal/phys"
-	"repro/internal/shardnet"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/wire"
@@ -68,32 +68,13 @@ type Options struct {
 	// engine. A sharded run's Report is byte-identical to the serial
 	// run's for the same seed; see DESIGN.md ("determinism under
 	// parallelism") for the loads and options the parallel engine
-	// supports.
+	// supports. The shard count — not the machine — determines the
+	// partition, so results stay machine-independent.
 	Shards int
-	// Parallel is convenience sugar: when true and Shards is 0, one
-	// shard per switch is used. The shard count — not the machine —
-	// determines the partition, so results stay machine-independent.
-	Parallel bool
-	// Transport selects how the parallel engine's shards are hosted:
-	// "" or "inproc" keeps them as goroutines of this process (the
-	// default — bit-for-bit the engine Shards alone selects), "socket"
-	// additionally runs every shard in its own worker process
-	// (Options.ShardWorker) speaking the internal/wire control protocol
-	// over loopback TCP, with the workers' replicas byte-checked
-	// against the coordinator's at every barrier. Requires Shards > 1
-	// and a fabric with a machine-readable shape (Options.Fabric built
-	// by a phys constructor, or the default shapes).
-	Transport string
-	// ShardWorker is the worker argv for Transport "socket" — typically
-	// the cmd/ampshard binary. The connect address and shard id travel
-	// in the AMPSHARD_ADDR/AMPSHARD_SHARD environment variables.
-	ShardWorker []string
 
 	// JoinTimeout, KeepaliveInterval and SilenceTimeout retune the
 	// per-node liveness cadences for fabric size (big fabrics drown in
 	// the room-sized defaults). Zero keeps each component's default.
-	// They are declarative — part of the cluster spec — so they cross
-	// to socket-transport shard workers, unlike an OnCluster closure.
 	JoinTimeout       sim.Time
 	KeepaliveInterval sim.Time
 	SilenceTimeout    sim.Time
@@ -110,13 +91,10 @@ type Options struct {
 	BER float64
 
 	// Telemetry, if set, receives the run's wall-clock span timeline
-	// (window grant → shard run → barrier exchange, plus socket-
-	// transport round-trips) on the parallel engine; see
-	// internal/telemetry. Attaching a recorder changes no simulation
-	// behavior and no Report bytes — wall readings live only in the
-	// recorder. Ignored on the serial engine. Not part of the cluster
-	// spec: socket shard workers measure their own runs and ship
-	// summaries in the MsgDone telemetry block.
+	// (window grant → shard run → barrier exchange) on the parallel
+	// engine; see internal/telemetry. Attaching a recorder changes no
+	// simulation behavior and no Report bytes — wall readings live only
+	// in the recorder. Ignored on the serial engine.
 	Telemetry *telemetry.Recorder
 	// TelemetryInReport opts the deterministic telemetry plane
 	// (per-shard window/event counters, heal-latency histograms — all
@@ -156,9 +134,6 @@ func (o *Options) fill() {
 	}
 	if o.Version == 0 {
 		o.Version = 0x0100
-	}
-	if o.Parallel && o.Shards == 0 {
-		o.Shards = o.Switches
 	}
 	if o.Shards < 1 {
 		o.Shards = 1
@@ -203,7 +178,7 @@ type Cluster struct {
 	// eng abstracts serial vs parallel time control; par is non-nil
 	// only under the parallel engine.
 	eng engine
-	par *parsimEngine
+	par *parsim.Engine
 
 	Nodes    []*ampdk.Node
 	Services []*ampdc.Services
@@ -220,9 +195,6 @@ type Cluster struct {
 	// booted flips once Boot has been called; plan validation assumes
 	// all nodes up until then.
 	booted bool
-	// loads lists every started load in start order; the index is the
-	// cross-process identity actLoadQuiesce mirrors by.
-	loads []*ActiveLoad
 }
 
 // New assembles a cluster. Nothing runs until Boot (or manual Node
@@ -235,9 +207,6 @@ func New(opts Options) *Cluster {
 	opts.fill()
 	if opts.Shards > 1 {
 		return newParallel(opts)
-	}
-	if opts.transportName() == "socket" {
-		panic("core: Options.Transport \"socket\" needs Options.Shards > 1 (the serial engine has no shards to distribute)")
 	}
 	c := &Cluster{Opts: opts}
 	c.K = sim.NewKernel(opts.Seed)
@@ -306,11 +275,6 @@ func (c *Cluster) Boot(window sim.Time) error {
 		nd := nd
 		nd.K.After(0, func() { nd.Boot() })
 	}
-	// Distributed shard workers schedule the same boots at the same
-	// parked instant, in the same node order.
-	if err := c.mirror(shardnet.Action{Kind: actBootAll}); err != nil {
-		return err
-	}
 	if window == 0 {
 		window = 50 * sim.Millisecond
 	}
@@ -319,8 +283,8 @@ func (c *Cluster) Boot(window sim.Time) error {
 	if c.stepUntil(c.allSettled, c.Now()+window, sim.Millisecond) {
 		return nil
 	}
-	// A transport failure mid-boot surfaces as itself, not as the
-	// stuck-node symptom it leaves behind.
+	// A shard panic mid-boot surfaces as itself, not as the stuck-node
+	// symptom it leaves behind.
 	if err := c.Err(); err != nil {
 		return err
 	}
@@ -347,27 +311,22 @@ func (c *Cluster) Run(d sim.Time) { c.eng.RunUntil(c.eng.Now() + d) }
 // Now returns the current virtual time.
 func (c *Cluster) Now() sim.Time { return c.eng.Now() }
 
-// Err returns the engine's sticky failure, if any: a shard panic, a
-// worker-process death, or a replica divergence on the socket
-// transport. Once set, the simulation refuses to advance; Scenario.Run
-// surfaces it as the run's error. Always nil on the serial engine.
+// Err returns the engine's sticky failure, if any: a shard panic.
+// Once set, the simulation refuses to advance; Scenario.Run surfaces it
+// as the run's error. Always nil on the serial engine.
 func (c *Cluster) Err() error {
 	if c.par != nil {
-		return c.par.e.Err()
+		return c.par.Err()
 	}
 	return nil
 }
-
-// Distributed reports whether the cluster's shards also run in worker
-// processes (Options.Transport "socket").
-func (c *Cluster) Distributed() bool { return c.par != nil && c.par.e.Distributed() }
 
 // Close releases engine resources (the parallel engine's worker
 // threads). It is safe to call on any cluster, more than once, and is
 // called automatically by Scenario.Run.
 func (c *Cluster) Close() {
 	if c.par != nil {
-		c.par.e.Shutdown()
+		c.par.Shutdown()
 	}
 }
 

@@ -181,8 +181,9 @@ func TestDecoupledPartitionRuns(t *testing.T) {
 }
 
 // TestParallelRejectsUnsupportedLoads pins the engine's stated limits:
-// loads whose drivers span shards, and BER injection, fail up front
-// with actionable errors instead of racing mid-run.
+// loads whose drivers span shards fail up front with actionable errors
+// instead of racing mid-run (option-level limits such as BER injection
+// are TestParallelValidationOnePath's).
 func TestParallelRejectsUnsupportedLoads(t *testing.T) {
 	topo := phys.Sharded(2, 3, 1, 50)
 	base := Scenario{
@@ -199,16 +200,50 @@ func TestParallelRejectsUnsupportedLoads(t *testing.T) {
 	if _, err := fs.Run(); err == nil || !strings.Contains(err.Error(), "filestream") {
 		t.Fatalf("filestream load under shards: err = %v, want unsupported", err)
 	}
-	ber := base
-	ber.Opts.DeepPHY = true
-	ber.Opts.BER = 1e-6
-	if _, err := ber.Run(); err == nil || !strings.Contains(err.Error(), "BER") {
-		t.Fatalf("BER under shards: err = %v, want unsupported", err)
+}
+
+// TestParallelValidationOnePath pins the parallel engine's single
+// validation path: for each bad configuration, Scenario.Run's error,
+// ValidateParallel's error and New's panic carry the same text, and
+// that text names the knob at fault.
+func TestParallelValidationOnePath(t *testing.T) {
+	topo := phys.Sharded(2, 3, 1, 50)
+	orphan := phys.Topology{Name: "orphan", Nodes: 4, Switches: 2, FiberM: 50,
+		Attached: func(n, s int) bool { return n < 2 }}
+	cases := []struct {
+		name string
+		opts Options
+		knob string
+	}{
+		{"shards-over-switches", Options{Fabric: &topo, Shards: 3}, "Options.Shards"},
+		{"deepphy-ber", Options{Fabric: &topo, Shards: 2, DeepPHY: true, BER: 1e-6}, "Options.BER"},
+		{"invalid-topology", Options{Fabric: &orphan, Shards: 2}, `topology "orphan"`},
 	}
-	over := base
-	over.Opts.Shards = 3 // only 2 switches: a shard would own none
-	if _, err := over.Run(); err == nil || !strings.Contains(err.Error(), "shard") {
-		t.Fatalf("more shards than switches: err = %v, want error", err)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			_, err := Scenario{Opts: c.opts, For: sim.Millisecond}.Run()
+			if err == nil {
+				t.Fatal("Scenario.Run accepted the bad options")
+			}
+			if !strings.Contains(err.Error(), c.knob) {
+				t.Fatalf("error %q does not name %s", err, c.knob)
+			}
+			if verr := c.opts.ValidateParallel(); verr == nil || verr.Error() != err.Error() {
+				t.Fatalf("ValidateParallel = %v, want %q", verr, err)
+			}
+			panicked := func() (msg string) {
+				defer func() {
+					if r := recover(); r != nil {
+						msg = fmt.Sprint(r)
+					}
+				}()
+				New(c.opts).Close()
+				return ""
+			}()
+			if panicked != err.Error() {
+				t.Fatalf("New panicked with %q, want Scenario.Run's %q", panicked, err)
+			}
+		})
 	}
 }
 

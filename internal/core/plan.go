@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strconv"
@@ -9,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/ampdk"
-	"repro/internal/shardnet"
 	"repro/internal/sim"
 )
 
@@ -279,19 +277,13 @@ func (c *Cluster) Install(p Plan) error {
 	for _, e := range p {
 		e := e
 		c.pending = append(c.pending, AppliedEvent{At: c.Now() + e.At, Event: e})
-		// On the serial engine this is a plain kernel timer. On the
-		// parallel engine it is a coordinator action: the fault fires
-		// single-threaded at a window barrier, with every shard parked
-		// on the event's instant — the only moment shared fabric state
-		// (link light, switch health) may change. The descriptor is the
-		// event itself, so distributed shard workers replay the same
-		// fault against their replicas at the same fence.
-		desc, err := json.Marshal(e)
-		if err != nil { // Event is plain data; see its declaration
-			panic(err)
-		}
-		c.eng.ScheduleAction(c.Now()+e.At, func() { c.apply(e) },
-			&shardnet.Action{Kind: actPlanEvent, Data: desc})
+		// On the serial engine this is a kernel timer ahead of every
+		// model event at its instant. On the parallel engine it is a
+		// coordinator action: the fault fires single-threaded at a
+		// window barrier, with every shard parked on the event's
+		// instant — the only moment shared fabric state (link light,
+		// switch health) may change.
+		c.eng.ScheduleAt(c.Now()+e.At, func() { c.apply(e) })
 	}
 	return nil
 }

@@ -128,8 +128,7 @@ type Report struct {
 // detail, and the heal-span latency histogram over the run's plan
 // events. Every field derives from virtual-plane quantities only
 // (kernel fired counts, barrier batch sizes, sim-time spans), so the
-// section is byte-reproducible across runs and transports; the socket
-// transport's I/O byte counters are deliberately excluded.
+// section is byte-reproducible across runs.
 type TelemetryReport struct {
 	// Per-window counters: Windows are granted parallel windows,
 	// Advances dead-time clock hops that granted no execution.

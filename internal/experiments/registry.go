@@ -20,11 +20,6 @@ type Params struct {
 	// serial engine. Reports are byte-identical either way, so this is
 	// a wall-clock knob, not a semantic one.
 	Shards int
-	// ShardWorker is the worker command for the socket transport
-	// (cmd/ampshard argv); nil restricts wall-clock experiments to the
-	// in-process transport. Excluded from JSON and Label: it names a
-	// host binary, not a topology.
-	ShardWorker []string `json:"-"`
 	// Telemetry, when set, is attached to every parallel cluster the
 	// experiment builds (Options.Telemetry), collecting wall-clock
 	// window/run/barrier spans for timeline export. Reports stay
@@ -56,9 +51,6 @@ func (p Params) Merged(d Params) Params {
 	}
 	if p.Shards == 0 {
 		p.Shards = d.Shards
-	}
-	if p.ShardWorker == nil {
-		p.ShardWorker = d.ShardWorker
 	}
 	if p.Telemetry == nil {
 		p.Telemetry = d.Telemetry
@@ -180,7 +172,7 @@ func All() []Spec {
 			Variants: []Params{{Nodes: 96, Switches: 8}},
 			Sharded:  true,
 			Run:      E16ScalingEfficiencyP},
-		{ID: "e17", Short: "multi-core speedup study: wall time, busy/wait decomposition vs shards × transport",
+		{ID: "e17", Short: "multi-core speedup study: wall time, busy/wait decomposition vs shards",
 			Defaults: Params{Nodes: 96, Switches: 8},
 			Sharded:  true,
 			Wall:     true,

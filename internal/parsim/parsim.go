@@ -32,22 +32,21 @@
 // between barriers it is read-only, which is what makes the mid-window
 // reads of the rostering layer race-free.
 //
-// The barrier protocol itself — grants, capture batches, deferred
-// routes, action fences — lives behind shardnet.Transport. The default
-// in-process transport is the engine's historical channel machinery;
-// the socket transport runs every shard additionally in its own worker
-// process (cmd/ampshard), mirroring each coordinator action from its
-// serialized descriptor and byte-checking the workers' captures at
-// every barrier.
+// The barrier itself is in-process: one worker goroutine per shard,
+// one target send and one done receive per granted window, per-shard
+// capture queues appended only by their own shard and drained only by
+// the coordinator, and no serialization anywhere. A shard that panics
+// mid-window surfaces as an engine error naming it, never a hang.
 package parsim
 
 import (
 	"fmt"
+	"runtime/debug"
 	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/phys"
-	"repro/internal/shardnet"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
@@ -61,11 +60,10 @@ import (
 // shard execution.
 //
 // Per-barrier counters, incremented at every synchronization point:
-// Barriers (one per window, plus one per action or driver fence that
-// drained), and Frames/Routes, which accumulate each barrier drain's
-// cross-shard frame and deferred crossbar-write batch sizes. Fences is
-// the subset of barriers forced by mutating coordinator work (action
-// fences and driver fences).
+// Barriers (one per window, plus one per action fence), and
+// Frames/Routes, which accumulate each barrier drain's cross-shard
+// frame and deferred crossbar-write batch sizes. Fences is the subset
+// of barriers forced by coordinator actions.
 //
 // Actions counts executed coordinator closures; several same-instant
 // actions share one fence, so Actions ≥ Fences on action-heavy runs.
@@ -80,44 +78,58 @@ type Stats struct {
 }
 
 // ShardStat is one shard's deterministic telemetry: virtual-plane
-// quantities only (kernel fired counts sampled at barriers, transport
-// capture counters), byte-reproducible for a given simulation. The
-// exception is BytesOut/BytesIn — socket-transport I/O totals, zero on
-// the in-process transport — which report surfaces claiming cross-
-// transport byte equality must exclude.
+// quantities only (kernel fired counts sampled at barriers, capture
+// counters), byte-reproducible for a given simulation.
 type ShardStat struct {
 	Shard       int
-	Events      uint64 // kernel events executed on this shard
-	Windows     uint64 // windows granted (transport view)
-	BusyWindows uint64 // windows in which the shard executed ≥1 event
-	Frames      uint64 // cross-shard frames this shard captured
-	Routes      uint64 // deferred crossbar writes this shard captured
-	BytesOut    uint64
-	BytesIn     uint64
+	Events      uint64         // kernel events executed on this shard
+	Windows     uint64         // windows granted
+	BusyWindows uint64         // windows in which the shard executed ≥1 event
+	Frames      uint64         // cross-shard frames this shard captured
+	Routes      uint64         // deferred crossbar writes this shard captured
 	EvPerWindow telemetry.Hist // events-per-window occupancy histogram
 }
 
 // action is one coordinator closure, run at `at` with all shards
 // parked on that instant. Same-instant actions keep registration
-// order (the sort below is stable). desc is the action's serialized
-// descriptor for distributed transports; read marks an explicitly
-// read-only action that never needs mirroring.
+// order (the sort below is stable).
 type action struct {
-	at   sim.Time
-	fn   func()
-	desc *shardnet.Action
-	read bool
+	at sim.Time
+	fn func()
+}
+
+// frameRec is one captured cross-shard frame: the phys.Frame plus
+// everything needed to inject it on the destination kernel in the
+// canonical barrier order (arrival, transmit start, source shard,
+// capture sequence).
+type frameRec struct {
+	SrcUID  uint32
+	Dst     *phys.Port
+	F       phys.Frame
+	Link    *phys.Link
+	Epoch   uint64
+	Arrival sim.Time
+	TxAt    sim.Time
+	Src     int
+	Seq     uint64
+}
+
+// routeRec is one barrier-deferred crossbar write and the virtual
+// instant it lands. At == 0 applies on receipt, at the barrier; a
+// positive At is scheduled on the owning shard's kernel at exactly
+// that instant (see phys.Cluster.Program for why trunk-crossing writes
+// are timestamped).
+type routeRec struct {
+	At sim.Time
+	Op phys.RouteOp
 }
 
 // Engine coordinates the shard kernels of one parallel simulation.
 // It is driven from a single goroutine (the scenario driver); shard
-// context only ever runs inside RunUntil, behind the transport's
-// Grant.
+// context only ever runs inside RunUntil, behind grant.
 type Engine struct {
 	Kernels []*sim.Kernel
 	Nets    []*phys.Net
-
-	tr shardnet.Transport
 
 	lookahead sim.Time
 	now       sim.Time
@@ -128,14 +140,43 @@ type Engine struct {
 
 	Stats Stats
 
+	// frames and routes are the per-shard capture queues: during a
+	// window only shard i's own goroutine appends to frames[i] and
+	// routes[i] (through the sanctioned RemoteFrame/DeferRoute paths),
+	// so no locking is needed; the coordinator drains them at the
+	// barrier. frameSeq is the per-barrier capture sequence.
+	frames     [][]frameRec
+	frameSeq   []uint64
+	routes     [][]routeRec
+	applyRoute func(at sim.Time, op phys.RouteOp)
+
+	// collectFrames/collectRoutes are the reused barrier-exchange
+	// buffers: collect concatenates into them instead of allocating a
+	// fresh batch per barrier. drain consumes the batch (sort + deliver)
+	// before the next collect, so reuse never aliases live data.
+	collectFrames []frameRec
+	collectRoutes []routeRec
+
+	// Window hand-off: one target send and one done receive per worker
+	// per window. Workers park between windows, so driver read phases
+	// and single-core hosts cost nothing; on multicore the wakeups
+	// overlap and the per-window barrier stays in the low microseconds
+	// against window workloads hundreds of events deep.
+	work   []chan sim.Time
+	done   chan error
+	closed sync.Once
+
 	// det is the per-shard deterministic telemetry plane, sampled at
 	// window barriers from virtual-plane quantities only.
 	det []shardDet
 
 	// rec is the wall-clock telemetry plane: nil (the default) records
 	// nothing; when set, the coordinator stamps window/exchange/action
-	// spans here and the transport adds shard-run and round-trip spans.
-	// Wall readings never reach Stats, ShardStats, or any Report field.
+	// spans here and each shard worker stamps its own run spans into
+	// its private buffer — the same single-writer discipline as the
+	// capture queues, so recording takes no locks on the window hot
+	// path. Wall readings never reach Stats, ShardStats, or any Report
+	// field.
 	rec *telemetry.Recorder
 
 	// OnFence, if set, observes every barrier after its drain, with all
@@ -151,106 +192,94 @@ type shardDet struct {
 	events      uint64
 	busyWindows uint64
 	lastFired   uint64
+	frames      uint64
+	routes      uint64
 	evPerWindow telemetry.Hist
 }
 
-// New builds an engine over one kernel+Net pair per shard on the
-// default in-process transport. lookahead is the fabric's conservative
-// window bound (phys.Lookahead); it must be positive. Call Shutdown
-// when the simulation is done.
-func New(kernels []*sim.Kernel, nets []*phys.Net, lookahead sim.Time) (*Engine, error) {
-	return NewWithTransport(kernels, nets, lookahead, nil)
-}
-
-// NewWithTransport builds an engine over an explicit transport (nil
-// means the in-process default). The transport must have been built
-// over the same kernel+Net pairs.
-func NewWithTransport(kernels []*sim.Kernel, nets []*phys.Net, lookahead sim.Time, tr shardnet.Transport) (*Engine, error) {
+// New builds an engine over one kernel+Net pair per shard, installing
+// a capture queue as every Net's RemoteExchange. lookahead is the
+// fabric's conservative window bound (phys.Lookahead); it must be
+// positive. applyRoute applies a barrier-deferred crossbar write (see
+// DeferRoute) at the barrier that drains it. With more than one shard
+// New starts one worker goroutine per shard; call Shutdown when the
+// simulation is done.
+func New(kernels []*sim.Kernel, nets []*phys.Net, lookahead sim.Time, applyRoute func(at sim.Time, op phys.RouteOp)) (*Engine, error) {
 	if len(kernels) != len(nets) || len(kernels) == 0 {
 		return nil, fmt.Errorf("parsim: %d kernels vs %d nets", len(kernels), len(nets))
 	}
 	if lookahead <= 0 {
 		return nil, fmt.Errorf("parsim: non-positive lookahead %v", lookahead)
 	}
-	if tr == nil {
-		tr = shardnet.NewInproc(kernels, nets)
-	}
 	e := &Engine{
-		Kernels:   kernels,
-		Nets:      nets,
-		tr:        tr,
-		lookahead: lookahead,
-		det:       make([]shardDet, len(kernels)),
+		Kernels:    kernels,
+		Nets:       nets,
+		lookahead:  lookahead,
+		frames:     make([][]frameRec, len(kernels)),
+		frameSeq:   make([]uint64, len(kernels)),
+		routes:     make([][]routeRec, len(kernels)),
+		applyRoute: applyRoute,
+		det:        make([]shardDet, len(kernels)),
 	}
 	for i, k := range kernels {
 		e.det[i].lastFired = k.Fired
+	}
+	for i, n := range nets {
+		n.Shard = i
+		n.Remote = &capture{e: e, shard: i}
+	}
+	if len(kernels) > 1 {
+		e.done = make(chan error, len(kernels))
+		for i := range kernels {
+			ch := make(chan sim.Time)
+			e.work = append(e.work, ch)
+			go e.worker(i, ch)
+		}
 	}
 	return e, nil
 }
 
 // SetRecorder attaches the wall-clock span recorder (nil detaches).
-// Call before the first RunUntil; the recorder is handed to the
-// transport too, so shard goroutines and socket peers stamp their own
-// spans. Attaching a recorder changes no simulation behavior and no
-// Report bytes — the equivalence battery pins that.
+// Call before the first RunUntil. Attaching a recorder changes no
+// simulation behavior and no Report bytes — the equivalence battery
+// pins that.
 func (e *Engine) SetRecorder(r *telemetry.Recorder) {
 	r.EnsureShards(len(e.Kernels))
 	e.rec = r
-	if tr, ok := e.tr.(interface {
-		SetRecorder(*telemetry.Recorder)
-	}); ok {
-		tr.SetRecorder(r)
-	}
 }
 
-// ShardStats returns the deterministic per-shard telemetry plane,
-// merging the engine's barrier-sampled kernel metrics with the
-// transport's capture counters. Safe to call whenever the driver may
-// observe the simulation (shards parked).
+// ShardStats returns the deterministic per-shard telemetry plane.
+// Safe to call whenever the driver may observe the simulation (shards
+// parked).
 func (e *Engine) ShardStats() []ShardStat {
-	ts := e.tr.ShardStats()
 	out := make([]ShardStat, len(e.det))
 	for i := range e.det {
 		d := &e.det[i]
-		s := ShardStat{
+		out[i] = ShardStat{
 			Shard:       i,
 			Events:      d.events,
+			Windows:     d.evPerWindow.N,
 			BusyWindows: d.busyWindows,
+			Frames:      d.frames,
+			Routes:      d.routes,
 			EvPerWindow: d.evPerWindow,
 		}
-		if i < len(ts) {
-			s.Windows = ts[i].Windows
-			s.Frames = ts[i].Frames
-			s.Routes = ts[i].Routes
-			s.BytesOut = ts[i].BytesOut
-			s.BytesIn = ts[i].BytesIn
-		}
-		out[i] = s
 	}
 	return out
 }
 
-// Shutdown closes the transport (stopping the shard workers, and on
-// the socket transport dismissing the worker processes). The engine
-// must not be run afterwards.
+// Shutdown stops the shard workers. It is safe to call more than
+// once; the engine must not be run afterwards.
 func (e *Engine) Shutdown() {
-	if err := e.tr.Close(); err != nil {
-		e.fail(err)
-	}
+	e.closed.Do(func() {
+		for _, ch := range e.work {
+			close(ch)
+		}
+	})
 }
 
-// Transport exposes the engine's transport (for route binding and
-// stats).
-func (e *Engine) Transport() shardnet.Transport { return e.tr }
-
-// Distributed reports whether the shards also live in other processes,
-// in which case every mutating coordinator action must carry a
-// serialized descriptor.
-func (e *Engine) Distributed() bool { return e.tr.Distributed() }
-
-// Err returns the sticky engine failure, if any: a shard panic, a
-// worker-process death, or a replica divergence. Once set, RunUntil
-// refuses to advance.
+// Err returns the sticky engine failure, if any: a shard panic. Once
+// set, RunUntil refuses to advance.
 func (e *Engine) Err() error { return e.failed }
 
 func (e *Engine) fail(err error) {
@@ -269,47 +298,122 @@ func (e *Engine) Lookahead() sim.Time { return e.lookahead }
 // ScheduleAt registers a coordinator action: fn runs single-threaded
 // at virtual time t, after every event before t and before any model
 // event at t, with all shard kernels parked on t. Actions at the same
-// instant run in registration order. Scheduling in the past panics,
-// mirroring sim.Kernel.At.
-//
-// On a distributed transport an action registered this way fails the
-// run when it comes due — the coordinator cannot know how to mirror an
-// opaque closure. Use ScheduleAction (mutating, with a serialized
-// descriptor) or ScheduleRead (explicitly read-only) instead.
+// instant run in registration order and share one fence. Scheduling in
+// the past panics, mirroring sim.Kernel.At.
 func (e *Engine) ScheduleAt(t sim.Time, fn func()) {
-	e.schedule(t, fn, nil, false)
-}
-
-// ScheduleAction registers a mutating coordinator action together with
-// its serialized descriptor; distributed transports mirror the
-// descriptor to every shard worker at the fence.
-func (e *Engine) ScheduleAction(t sim.Time, fn func(), desc shardnet.Action) {
-	d := desc
-	e.schedule(t, fn, &d, false)
-}
-
-// ScheduleRead registers an explicitly read-only coordinator action
-// (condition probes, report sampling): it runs only on the
-// coordinator's replica and is never mirrored. A read action that
-// mutates model state diverges the replicas — which the socket
-// transport's capture cross-check then catches at the next barrier.
-func (e *Engine) ScheduleRead(t sim.Time, fn func()) {
-	e.schedule(t, fn, nil, true)
-}
-
-func (e *Engine) schedule(t sim.Time, fn func(), desc *shardnet.Action, read bool) {
 	if t < e.now {
 		panic(fmt.Sprintf("parsim: action at %v before now %v", t, e.now))
 	}
-	e.actions = append(e.actions, action{at: t, fn: fn, desc: desc, read: read})
+	e.actions = append(e.actions, action{at: t, fn: fn})
 	sort.SliceStable(e.actions, func(a, b int) bool { return e.actions[a].at < e.actions[b].at })
 }
 
-// DeferRoute forwards a barrier-deferred crossbar write from srcShard
-// to the transport's capture queue, tagged with the virtual instant it
-// lands; wire it to phys.Cluster.RouteSink.
+// capture is the per-shard phys.RemoteExchange: it appends cross-shard
+// frames to the source shard's private queue. Only the shard's own
+// worker appends during a window, so no locking is needed.
+type capture struct {
+	e     *Engine
+	shard int
+}
+
+// RemoteFrame is the sanctioned frame-capture path (see the ampvet
+// shardshare analyzer): the only place shard context may write engine
+// state, besides DeferRoute.
+func (x *capture) RemoteFrame(src, dst *phys.Port, f phys.Frame, link *phys.Link, epoch uint64, arrival sim.Time) {
+	e := x.e
+	e.frames[x.shard] = append(e.frames[x.shard], frameRec{
+		SrcUID: src.UID(), Dst: dst, F: f, Link: link, Epoch: epoch,
+		Arrival: arrival, TxAt: e.Kernels[x.shard].Now(),
+		Src: x.shard, Seq: e.frameSeq[x.shard],
+	})
+	e.frameSeq[x.shard]++
+}
+
+// DeferRoute is the sanctioned route-capture path: a crossbar write
+// from srcShard aimed at a remote switch, landing at virtual time at
+// (0 = on receipt, at the barrier). Wire it to phys.Cluster.RouteSink;
+// the barrier drain hands it to the engine's applyRoute.
 func (e *Engine) DeferRoute(srcShard int, at sim.Time, op phys.RouteOp) {
-	e.tr.DeferRoute(srcShard, at, op)
+	e.routes[srcShard] = append(e.routes[srcShard], routeRec{At: at, Op: op})
+}
+
+// worker runs shard i's kernel window by window.
+func (e *Engine) worker(i int, ch chan sim.Time) {
+	for target := range ch {
+		e.done <- e.runShard(i, target)
+	}
+}
+
+// runShard executes one shard's window, converting a model panic into
+// an error that names the shard and window instead of tearing the
+// process down (or, worse, stranding the other shards at the barrier).
+func (e *Engine) runShard(i int, target sim.Time) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("parsim: shard %d panicked in window ending %v: %v\n%s", i, target, r, debug.Stack())
+		}
+	}()
+	start := e.rec.Begin()
+	e.Kernels[i].RunUntil(target)
+	e.rec.Shard(i, telemetry.SpanRun, start, int64(target))
+	return nil
+}
+
+// grant runs every shard to target and waits for all of them.
+//
+// Shards with no event due in the window are not woken: cross-shard
+// work only ever arrives at barriers, so a shard whose next event lies
+// beyond target provably executes nothing — its clock is advanced
+// directly on the coordinator, skipping the worker round-trip. During
+// a decoupled phase (traffic localized to a few shards) this removes
+// two channel hops and a goroutine wakeup per idle shard per window;
+// the skipped shard ends the window in the identical state (clock on
+// target, nothing fired) a granted run would have left.
+func (e *Engine) grant(target sim.Time) error {
+	if len(e.work) == 0 {
+		// Single shard: run directly; a panic propagates as it would
+		// on the serial engine.
+		start := e.rec.Begin()
+		e.Kernels[0].RunUntil(target)
+		e.rec.Shard(0, telemetry.SpanRun, start, int64(target))
+		return nil
+	}
+	granted := 0
+	for i, ch := range e.work {
+		if nt, ok := e.Kernels[i].NextEventTime(); ok && nt <= target {
+			ch <- target
+			granted++
+		} else {
+			e.Kernels[i].AdvanceTo(target)
+		}
+	}
+	var firstErr error
+	for ; granted > 0; granted-- {
+		if err := <-e.done; err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+	return firstErr
+}
+
+// collect drains the capture queues: frames concatenated per source
+// shard in capture order, routes in source-shard FIFO order. The
+// per-shard capture sequence restarts at every collect: Seq is only a
+// same-instant tie-break within one barrier's batch.
+func (e *Engine) collect() ([]frameRec, []routeRec) {
+	frames := e.collectFrames[:0]
+	routes := e.collectRoutes[:0]
+	for s := range e.frames {
+		e.det[s].frames += uint64(len(e.frames[s]))
+		e.det[s].routes += uint64(len(e.routes[s]))
+		frames = append(frames, e.frames[s]...)
+		routes = append(routes, e.routes[s]...)
+		e.frames[s] = e.frames[s][:0]
+		e.routes[s] = e.routes[s][:0]
+		e.frameSeq[s] = 0
+	}
+	e.collectFrames, e.collectRoutes = frames, routes
+	return frames, routes
 }
 
 // drain collects everything captured since the last barrier and
@@ -318,18 +422,14 @@ func (e *Engine) DeferRoute(srcShard int, at sim.Time, op phys.RouteOp) {
 // shard, sequence) order, each scheduled on its destination kernel at
 // its exact arrival time. Runs single-threaded with all kernels
 // parked. Returns the batch sizes for the barrier observer.
-func (e *Engine) drain() (nframes, nroutes int, err error) {
-	frames, routes, err := e.tr.Collect()
-	if err != nil {
-		return 0, 0, err
-	}
+func (e *Engine) drain() (nframes, nroutes int) {
+	frames, routes := e.collect()
 	e.Stats.Routes += uint64(len(routes))
 	e.Stats.Frames += uint64(len(frames))
-	nframes, nroutes = len(frames), len(routes)
 	if len(frames) == 0 && len(routes) == 0 {
 		// Nothing crossed this barrier — common during decoupled
-		// phases; skip the sort and the transport's delivery pass.
-		return 0, 0, nil
+		// phases; skip the sort and the delivery pass.
+		return 0, 0
 	}
 	// Canonical batch order: arrival, then the wire key (transmit
 	// start, sending-port identity by way of source shard and capture
@@ -337,7 +437,7 @@ func (e *Engine) drain() (nframes, nroutes int, err error) {
 	// same-instant order the serial engine would have used.
 	// slices.SortFunc, unlike sort.Slice, needs no reflection-based
 	// swapper allocation per barrier.
-	slices.SortFunc(frames, func(pa, pb shardnet.FrameRec) int {
+	slices.SortFunc(frames, func(pa, pb frameRec) int {
 		switch {
 		case pa.Arrival != pb.Arrival:
 			if pa.Arrival < pb.Arrival {
@@ -359,21 +459,36 @@ func (e *Engine) drain() (nframes, nroutes int, err error) {
 		}
 		return 0
 	})
-	return nframes, nroutes, e.tr.Deliver(frames, routes)
+	// Routes first (source-shard FIFO order), then frames, each
+	// scheduled on its destination kernel at its exact arrival time
+	// with the wire priority key (transmit start, sending-port
+	// identity) that slots it into the same same-instant order the
+	// serial engine would have used.
+	for _, r := range routes {
+		e.applyRoute(r.At, r.Op)
+	}
+	for i := range frames {
+		pf := &frames[i]
+		// Pooled, Timer-free scheduling on the destination shard — the
+		// same path a local hop takes, so cross-shard injection costs
+		// no allocations either.
+		pf.Dst.Net().ScheduleDelivery(pf.Arrival, pf.TxAt, pf.SrcUID, pf.Dst, pf.F, pf.Link, pf.Epoch)
+	}
+	return len(frames), len(routes)
 }
 
 // runWindow executes all shards in parallel up to target (inclusive),
 // then drains the barrier.
 func (e *Engine) runWindow(target sim.Time) error {
 	w0 := e.rec.Begin()
-	if err := e.tr.Grant(target); err != nil {
+	if err := e.grant(target); err != nil {
 		return err
 	}
 	e.Stats.Windows++
 	e.Stats.Barriers++
 	// Sample the deterministic plane: every kernel is parked on target,
 	// so the fired deltas are the exact per-shard event counts of this
-	// window regardless of transport or host scheduling.
+	// window regardless of host scheduling.
 	for i, k := range e.Kernels {
 		d := &e.det[i]
 		delta := k.Fired - d.lastFired
@@ -388,11 +503,8 @@ func (e *Engine) runWindow(target sim.Time) error {
 	// the two intervals are adjacent by construction, and the shared
 	// read halves the coordinator's per-window clock cost.
 	x0 := e.rec.Begin()
-	e.rec.CoordSpan(-1, telemetry.SpanWindow, w0, x0, int64(target))
-	nf, nr, err := e.drain()
-	if err != nil {
-		return err
-	}
+	e.rec.CoordSpan(telemetry.SpanWindow, w0, x0, int64(target))
+	nf, nr := e.drain()
 	// An empty drain returns without sorting or delivering; its span
 	// would be zero-length noise, and skipping it saves a clock read on
 	// every decoupled-phase window.
@@ -420,79 +532,27 @@ func (e *Engine) nextEvent() (sim.Time, bool) {
 // runActionsAtNow executes every action due at the current instant.
 // Kernels must already be parked on e.now with no pending events
 // before it. Actions may send cross-shard traffic (a rebooted node
-// solicits immediately), so the barrier is drained afterwards; on a
-// distributed transport the mutating actions' descriptors are fenced
-// to every shard worker first.
-func (e *Engine) runActionsAtNow() error {
-	ran := false
-	var descs []shardnet.Action
-	mirror := false
+// solicits immediately), so the barrier is drained afterwards.
+func (e *Engine) runActionsAtNow() {
+	if len(e.actions) == 0 || e.actions[0].at != e.now {
+		return
+	}
 	a0 := e.rec.Begin()
 	for len(e.actions) > 0 && e.actions[0].at == e.now {
 		a := e.actions[0]
 		e.actions = e.actions[1:]
-		if !a.read {
-			if a.desc == nil && e.tr.Distributed() {
-				return fmt.Errorf("parsim: action at %v has no serialized descriptor and is not marked read-only; "+
-					"it cannot be mirrored to distributed shard workers", e.now)
-			}
-			if a.desc != nil {
-				descs = append(descs, *a.desc)
-			}
-			mirror = true
-		}
 		a.fn()
 		e.Stats.Actions++
-		ran = true
-	}
-	if !ran {
-		return nil
 	}
 	e.rec.Coord(telemetry.SpanAction, a0, int64(e.now))
-	if mirror {
-		e.Stats.Fences++
-		if err := e.tr.Fence(e.now, descs); err != nil {
-			return err
-		}
-	}
-	x0 := e.rec.Begin()
-	nf, nr, err := e.drain()
-	if err != nil {
-		return err
-	}
-	e.rec.Coord(telemetry.SpanExchange, x0, int64(e.now))
-	e.Stats.Barriers++
-	if e.OnFence != nil {
-		e.OnFence(e.now, nf, nr, true)
-	}
-	return nil
-}
-
-// DriverFence mirrors out-of-band driver work (boot scheduling, load
-// starts, quiesce cuts — applied to the coordinator's replica by the
-// layer above) to distributed shard workers and drains the resulting
-// barrier. On the in-process transport it is a plain barrier drain.
-func (e *Engine) DriverFence(acts []shardnet.Action) error {
-	if e.failed != nil {
-		return e.failed
-	}
 	e.Stats.Fences++
-	if err := e.tr.Fence(e.now, acts); err != nil {
-		e.fail(err)
-		return e.failed
-	}
 	x0 := e.rec.Begin()
-	nf, nr, err := e.drain()
-	if err != nil {
-		e.fail(err)
-		return e.failed
-	}
+	nf, nr := e.drain()
 	e.rec.Coord(telemetry.SpanExchange, x0, int64(e.now))
 	e.Stats.Barriers++
 	if e.OnFence != nil {
 		e.OnFence(e.now, nf, nr, true)
 	}
-	return nil
 }
 
 // RunUntil advances the whole simulation to deadline (inclusive),
@@ -500,18 +560,14 @@ func (e *Engine) DriverFence(acts []shardnet.Action) error {
 // deadline — the same clock contract as sim.Kernel.RunUntil. The
 // driver may freely read cross-shard state after it returns.
 //
-// A transport failure — shard panic, worker death, replica divergence
-// — stops the run where it stands; the error is sticky and available
-// from Err.
+// A shard panic stops the run where it stands; the error is sticky and
+// available from Err.
 func (e *Engine) RunUntil(deadline sim.Time) sim.Time {
 	if e.failed != nil || deadline < e.now {
 		return e.now
 	}
 	for {
-		if err := e.runActionsAtNow(); err != nil {
-			e.fail(err)
-			return e.now
-		}
+		e.runActionsAtNow()
 		if e.now >= deadline {
 			// RunUntil is inclusive: model events at the deadline
 			// instant (including any the actions just scheduled) still
@@ -575,9 +631,8 @@ func (e *Engine) RunUntil(deadline sim.Time) sim.Time {
 			}
 		}
 		at := e.actions[0].at
-		if err := e.tr.Advance(at); err != nil {
-			e.fail(err)
-			return e.now
+		for _, k := range e.Kernels {
+			k.AdvanceTo(at)
 		}
 		e.Stats.Advances++
 		e.now = at

@@ -18,6 +18,7 @@ type rig struct {
 	pa, pb   *phys.Port
 	link     *phys.Link
 	arrivals []sim.Time
+	applied  []int // In of every deferred route the engine applied
 }
 
 func newRig(t *testing.T) *rig {
@@ -27,7 +28,9 @@ func newRig(t *testing.T) *rig {
 		r.k[i] = sim.NewKernel(uint64(i + 1))
 		r.n[i] = phys.NewNet(r.k[i])
 	}
-	e, err := New(r.k[:], r.n[:], phys.PropTime(200))
+	e, err := New(r.k[:], r.n[:], phys.PropTime(200), func(_ sim.Time, op phys.RouteOp) {
+		r.applied = append(r.applied, op.In)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,15 +117,13 @@ func TestActionsRunBeforeInstantEvents(t *testing.T) {
 // next barrier, in source-shard FIFO order.
 func TestDeferredRoutesApplyAtBarrier(t *testing.T) {
 	r := newRig(t)
-	var applied []int
-	r.e.Transport().BindRoutes(func(_ sim.Time, op phys.RouteOp) { applied = append(applied, op.In) })
 	r.k[0].At(100, func() {
 		r.e.DeferRoute(0, 0, phys.RouteOp{Switch: 0, In: 1, Out: 7})
 		r.e.DeferRoute(0, 0, phys.RouteOp{Switch: 0, In: 2, Out: 7})
 	})
 	r.e.RunUntil(10 * sim.Microsecond)
-	if len(applied) != 2 || applied[0] != 1 || applied[1] != 2 {
-		t.Fatalf("applied = %v, want [1 2]", applied)
+	if len(r.applied) != 2 || r.applied[0] != 1 || r.applied[1] != 2 {
+		t.Fatalf("applied = %v, want [1 2]", r.applied)
 	}
 	if r.e.Stats.Routes != 2 {
 		t.Fatalf("stats.Routes = %d, want 2", r.e.Stats.Routes)

@@ -238,11 +238,6 @@ func (p *Port) SetTxDone(h func()) { p.onTxDone = h }
 // Connected reports whether the port is attached to a link.
 func (p *Port) Connected() bool { return p.link != nil }
 
-// Link returns the fiber the port is attached to, nil when dangling.
-// Shard workers of the socket transport use it to resolve a decoded
-// cross-shard frame's link from the frame's port UIDs.
-func (p *Port) Link() *Link { return p.link }
-
 // Net returns the Net (and thereby the shard kernel) owning this port.
 func (p *Port) Net() *Net { return p.net }
 

@@ -27,11 +27,11 @@ type Cluster struct {
 
 	// Assign is the shard assignment of a sharded fabric (nil when the
 	// whole fabric runs on one kernel). RouteSink, set by the parallel
-	// engine's transport, receives crossbar programming aimed at a
-	// switch owned by another shard together with the virtual instant
-	// the write lands (see Program); the transport carries it across
-	// the next window barrier and schedules it on the owning shard's
-	// kernel at exactly that instant.
+	// engine, receives crossbar programming aimed at a switch owned by
+	// another shard together with the virtual instant the write lands
+	// (see Program); the engine carries it across the next window
+	// barrier and schedules it on the owning shard's kernel at exactly
+	// that instant.
 	Assign    *Assignment
 	RouteSink func(srcShard int, at sim.Time, op RouteOp)
 }
@@ -39,8 +39,8 @@ type Cluster struct {
 // RouteOp is one crossbar write as a plain record: which switch, which
 // ingress, which egress, and — for trunk forwarding — which virtual
 // circuit. Keeping route programming as data rather than a closure is
-// what lets a barrier-deferred write cross a process boundary on the
-// socket transport byte-for-byte.
+// what lets the parallel engine queue a barrier-deferred write without
+// an allocation per write.
 type RouteOp struct {
 	Switch int
 	In     int

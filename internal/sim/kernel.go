@@ -355,21 +355,6 @@ func (k *Kernel) AdvanceTo(t Time) {
 	k.now = t
 }
 
-// Park moves the clock forward to t without executing anything — even
-// over pending events, which AdvanceTo refuses. It exists for mirrored
-// replicas (the internal/core shard workers): a worker keeps every
-// remote shard's kernel as construction context only and never runs
-// it, but must keep its clock on the barrier instant so coordinator
-// actions applied from a remote node's context (a reboot's join
-// broadcast, say) stamp the same virtual times the coordinator stamps.
-// Events left pending behind the clock stay queued and must never run;
-// a parked-over kernel is clock-and-schedule context only.
-func (k *Kernel) Park(t Time) {
-	if t > k.now {
-		k.now = t
-	}
-}
-
 // Step executes exactly one pending event and returns true, or returns
 // false if the queue is empty.
 func (k *Kernel) Step() bool {

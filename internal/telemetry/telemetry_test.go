@@ -31,7 +31,7 @@ func TestRecorderNilSafe(t *testing.T) {
 	r.EnsureShards(4)
 	r.Shard(0, SpanRun, 0, 0)
 	r.Coord(SpanWindow, 0, 0)
-	r.CoordSpan(1, SpanRTT, 0, 1, 0)
+	r.CoordSpan(SpanWindow, 0, 1, 0)
 	if r.Len() != 0 || r.Spans() != nil {
 		t.Fatal("nil recorder accumulated spans")
 	}
@@ -51,7 +51,7 @@ func TestRecorderMergeOrder(t *testing.T) {
 	r.Shard(1, SpanRun, s0, 500)
 	r.Shard(0, SpanRun, s0, 500)
 	r.Coord(SpanWindow, s0, 500)
-	r.CoordSpan(-1, SpanExchange, 900, 950, 500)
+	r.CoordSpan(SpanExchange, 900, 950, 500)
 
 	spans := r.Spans()
 	if len(spans) != 4 {
