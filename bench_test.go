@@ -284,16 +284,16 @@ func benchParsim(b *testing.B, nodes, shards int, rec *telemetry.Recorder) {
 	}
 }
 
-func BenchmarkE14ParsimSerial64(b *testing.B)  { benchParsim(b, 64, 1, nil) }
-func BenchmarkE14ParsimSharded64(b *testing.B) { benchParsim(b, 64, 8, nil) }
+func BenchmarkE14ParsimSerial64(b *testing.B) { benchParsim(b, 64, 1, nil) }
 
-// BenchmarkE14Parsim64 is the frame-accounting overhead guard: the
-// same 8-shard 64-node scenario, but its baseline was captured with
-// the conservation ledger threaded through every frame create/destroy
-// site, and CI holds this entry to a tighter 25% gate (its own
-// benchguard invocation) than the fleet's shared tolerance. Accounting
-// is always on, so any future growth of the ledger's hot-path cost —
-// new counters, heavier cause classification — lands here first.
+// BenchmarkE14Parsim64 is the 8-shard counterpart of
+// BenchmarkE14ParsimSerial64 and the frame-accounting overhead guard:
+// its baseline was captured with the conservation ledger threaded
+// through every frame create/destroy site, and CI holds this entry to
+// a tighter 25% gate (its own benchguard invocation) than the fleet's
+// shared tolerance. Accounting is always on, so any future growth of
+// the ledger's hot-path cost — new counters, heavier cause
+// classification — lands here first.
 func BenchmarkE14Parsim64(b *testing.B) { benchParsim(b, 64, 8, nil) }
 
 // BenchmarkE14Parsim64Telemetry is the telemetry-overhead guard: the

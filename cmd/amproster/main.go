@@ -31,7 +31,7 @@ func main() {
 	agent := c.Node(0).DK().Agent
 	agent.OnAdopt = func(r *rostering.Roster) {
 		lat := c.Now() - agent.RoundStart()
-		tour := rostering.EstimateTour(*nodes, *fiber, c.Net)
+		tour := rostering.EstimateTour(*nodes, *fiber, c.Nets[0])
 		fmt.Printf("t=%-12v ADOPT epoch %-3d (%.2f ring tours after trigger)\n",
 			c.Now(), r.Epoch, float64(lat)/float64(tour))
 		fmt.Printf("               %s\n", r)
@@ -40,7 +40,7 @@ func main() {
 	if err := c.Boot(0); err != nil {
 		log.Fatal(err)
 	}
-	tour := rostering.EstimateTour(*nodes, *fiber, c.Net)
+	tour := rostering.EstimateTour(*nodes, *fiber, c.Nets[0])
 	fmt.Printf("ring tour estimate: %v (N=%d, fiber=%.0fm)\n\n", tour, *nodes, *fiber)
 
 	// The failure sequence is a declarative plan: one event every

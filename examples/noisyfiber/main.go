@@ -14,6 +14,7 @@ import (
 	"os"
 
 	ampnet "repro"
+	"repro/internal/frameacct"
 )
 
 func main() {
@@ -52,7 +53,7 @@ func main() {
 	rep := al.Report()
 
 	fmt.Printf("t=%v  wrote %d updates\n", c.Now(), rep.Sent)
-	fmt.Printf("frames killed by bit errors (CRC/code violations): %d\n", c.Net.CRCDrops.N)
+	fmt.Printf("frames killed by bit errors (CRC/code violations): %d\n", c.FrameAcct().Losses[frameacct.LossCRC])
 	gaps, recoveries := uint64(0), uint64(0)
 	for i := range c.Nodes {
 		gaps += c.Node(i).DK().DMA.Gaps

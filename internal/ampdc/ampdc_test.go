@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/ampdk"
+	"repro/internal/frameacct"
 	"repro/internal/micropacket"
 	"repro/internal/phys"
 	"repro/internal/sim"
@@ -236,8 +237,8 @@ func TestSlide7FilesAndMessagesConcurrently(t *testing.T) {
 	if fileAt == 0 {
 		t.Fatal("no file completion time")
 	}
-	if r.net.Drops.N != 0 {
-		t.Fatalf("drops = %d", r.net.Drops.N)
+	if d := r.net.Acct.Losses[frameacct.LossFifoFull]; d != 0 {
+		t.Fatalf("drops = %d", d)
 	}
 }
 

@@ -153,7 +153,8 @@ func (st *TokenStation) handle(f phys.Frame) {
 
 // DropTailStation is an insertion-ring station with the flow control
 // removed: it inserts immediately, whatever its local view, so egress
-// FIFOs overflow under load and frames are dropped (phys.Net.Drops).
+// FIFOs overflow under load and frames are dropped (counted as
+// frameacct.LossFifoFull in phys.Net.Acct).
 type DropTailStation struct {
 	ID     micropacket.NodeID
 	K      *sim.Kernel

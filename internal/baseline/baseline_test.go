@@ -3,6 +3,7 @@ package baseline
 import (
 	"testing"
 
+	"repro/internal/frameacct"
 	"repro/internal/micropacket"
 	"repro/internal/phys"
 	"repro/internal/sim"
@@ -27,8 +28,8 @@ func TestTokenRingDelivers(t *testing.T) {
 	if got != 1 {
 		t.Fatalf("deliveries = %d", got)
 	}
-	if net.Drops.N != 0 {
-		t.Fatalf("drops = %d", net.Drops.N)
+	if d := net.Acct.Losses[frameacct.LossFifoFull]; d != 0 {
+		t.Fatalf("drops = %d", d)
 	}
 }
 
@@ -114,7 +115,7 @@ func TestDropTailDropsUnderAllToAll(t *testing.T) {
 		}
 	}
 	k.RunUntil(10 * sim.Millisecond)
-	if net.Drops.N == 0 {
+	if net.Acct.Losses[frameacct.LossFifoFull] == 0 {
 		t.Fatal("drop-tail baseline dropped nothing under saturation — not a valid strawman")
 	}
 }
@@ -126,8 +127,8 @@ func TestDropTailDeliversWhenIdle(t *testing.T) {
 	sts[2].OnDeliver = func(*micropacket.Packet) { got++ }
 	sts[0].Send(micropacket.NewData(0, 2, 0, nil))
 	k.RunUntil(sim.Millisecond)
-	if got != 1 || net.Drops.N != 0 {
-		t.Fatalf("idle delivery got=%d drops=%d", got, net.Drops.N)
+	if d := net.Acct.Losses[frameacct.LossFifoFull]; got != 1 || d != 0 {
+		t.Fatalf("idle delivery got=%d drops=%d", got, d)
 	}
 }
 

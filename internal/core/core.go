@@ -85,9 +85,10 @@ type Options struct {
 	// fidelity mode; see phys.Net.DeepPHY.
 	DeepPHY bool
 	// BER, with DeepPHY, injects symbol errors with the given
-	// per-symbol probability. Corrupted frames are discarded by the
-	// receive hardware (CRC/code violation) and repaired by the
-	// higher layers.
+	// per-symbol probability in [0, 1]. Corrupted frames are discarded
+	// by the receive hardware (CRC/code violation) and repaired by the
+	// higher layers. A nonzero BER without DeepPHY is an error: there
+	// is no symbol stream to corrupt.
 	BER float64
 
 	// Telemetry, if set, receives the run's wall-clock span timeline
@@ -140,6 +141,19 @@ func (o *Options) fill() {
 	}
 }
 
+// checkBER rejects a BER that is not a probability, or that would be
+// silently ignored because DeepPHY is off. New panics with its error;
+// Scenario.Run returns it.
+func (o *Options) checkBER() error {
+	if !(o.BER >= 0 && o.BER <= 1) {
+		return fmt.Errorf("core: Options.BER = %v is not a probability in [0, 1]", o.BER)
+	}
+	if o.BER > 0 && !o.DeepPHY {
+		return fmt.Errorf("core: Options.BER = %v needs Options.DeepPHY (bit errors are injected into the 8b/10b symbol stream)", o.BER)
+	}
+	return nil
+}
+
 // topology resolves the fabric to build: the declared Fabric, or the
 // paper's uniform segment shaped by Nodes and Switches.
 func (o *Options) topology() phys.Topology {
@@ -168,7 +182,6 @@ type Cluster struct {
 	// physical network (one entry on the serial engine); fabric-wide
 	// counters are summed over it.
 	K    *sim.Kernel
-	Net  *phys.Net
 	Nets []*phys.Net
 	Phys *phys.Cluster
 	// Assign is the shard assignment the parallel engine runs under
@@ -205,19 +218,22 @@ type Cluster struct {
 // (Scenario.Run does so automatically).
 func New(opts Options) *Cluster {
 	opts.fill()
+	if err := opts.checkBER(); err != nil {
+		panic(err)
+	}
 	if opts.Shards > 1 {
 		return newParallel(opts)
 	}
 	c := &Cluster{Opts: opts}
 	c.K = sim.NewKernel(opts.Seed)
 	c.eng = serialEngine{c.K}
-	c.Net = phys.NewNet(c.K)
-	c.Nets = []*phys.Net{c.Net}
-	c.Net.DeepPHY = opts.DeepPHY
-	if opts.DeepPHY && opts.BER > 0 {
+	net := phys.NewNet(c.K)
+	c.Nets = []*phys.Net{net}
+	net.DeepPHY = opts.DeepPHY
+	if opts.BER > 0 {
 		rng := c.K.RNG().Split()
 		ber := opts.BER
-		c.Net.Corrupt = func(_ phys.Frame, syms []enc8b10b.Symbol) {
+		net.Corrupt = func(_ phys.Frame, syms []enc8b10b.Symbol) {
 			for i := range syms {
 				if rng.Float64() < ber {
 					syms[i] ^= 1 << rng.Intn(10)
@@ -225,7 +241,7 @@ func New(opts Options) *Cluster {
 			}
 		}
 	}
-	ph, err := phys.BuildFabric(c.Net, opts.topology())
+	ph, err := phys.BuildFabric(net, opts.topology())
 	if err != nil { // a malformed Topology is a programming error
 		panic(err)
 	}
@@ -390,31 +406,23 @@ func (c *Cluster) CrashNode(n int)  { c.Nodes[n].Crash() }
 func (c *Cluster) RebootNode(n int) { c.Nodes[n].Reboot() }
 
 // Drops returns congestion drops on the fabric (must stay 0 under
-// AmpNet MACs), summed over every shard's network.
+// AmpNet MACs): the ledger's fifo_full losses, summed over shards.
 func (c *Cluster) Drops() uint64 {
-	var n uint64
-	for _, net := range c.Nets {
-		n += net.Drops.N
-	}
-	return n
+	return c.FrameAcct().Losses[frameacct.LossFifoFull]
 }
 
-// Lost returns frames destroyed by failures, summed over shards.
+// Lost returns frames destroyed by failures — offered to a dark port or
+// in flight on a cut fiber — summed over shards. Frames cleared from an
+// egress FIFO by a link failure appear only in the ledger (fifo_clear).
 func (c *Cluster) Lost() uint64 {
-	var n uint64
-	for _, net := range c.Nets {
-		n += net.Lost.N
-	}
-	return n
+	a := c.FrameAcct()
+	return a.Losses[frameacct.LossDarkPort] + a.Losses[frameacct.LossLinkCut]
 }
 
-// Delivered returns frames handed to receivers, summed over shards.
+// Delivered returns frames handed to receivers (the ledger's
+// WireDelivered), summed over shards.
 func (c *Cluster) Delivered() uint64 {
-	var n uint64
-	for _, net := range c.Nets {
-		n += net.Delivered.N
-	}
-	return n
+	return c.FrameAcct().WireDelivered
 }
 
 // FrameAcct returns the fabric-wide frame-lifecycle ledger: the sum of

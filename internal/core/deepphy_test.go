@@ -2,10 +2,14 @@ package core
 
 import (
 	"bytes"
+	"math"
+	"strings"
 	"testing"
 
+	"repro/internal/frameacct"
 	"repro/internal/micropacket"
 	"repro/internal/netcache"
+	"repro/internal/phys"
 	"repro/internal/sim"
 )
 
@@ -38,8 +42,8 @@ func TestDeepPHYFullStack(t *testing.T) {
 	if c.RingSize() != 4 {
 		t.Fatalf("heal over deep PHY: ring = %d", c.RingSize())
 	}
-	if c.Net.CRCDrops.N != 0 {
-		t.Fatalf("CRC drops on clean links: %d", c.Net.CRCDrops.N)
+	if d := c.FrameAcct().Losses[frameacct.LossCRC]; d != 0 {
+		t.Fatalf("CRC drops on clean links: %d", d)
 	}
 	if c.Drops() != 0 {
 		t.Fatalf("congestion drops: %d", c.Drops())
@@ -72,7 +76,8 @@ func TestDeepPHYWithBitErrors(t *testing.T) {
 	c.K.After(0, tick)
 	c.Run(80 * sim.Millisecond)
 
-	if c.Net.CRCDrops.N == 0 {
+	crc := c.FrameAcct().Losses[frameacct.LossCRC]
+	if crc == 0 {
 		t.Skip("no frame hit a bit error at this BER/seed; nothing exercised")
 	}
 	want := bytes.Repeat([]byte{100}, 16)
@@ -80,7 +85,40 @@ func TestDeepPHYWithBitErrors(t *testing.T) {
 		got, ok := nd.Cache.TryRead(rec)
 		if !ok || !bytes.Equal(got, want) {
 			t.Fatalf("node %d did not converge under bit errors (CRC drops=%d): %v ok=%v",
-				id, c.Net.CRCDrops.N, got[:2], ok)
+				id, crc, got[:2], ok)
 		}
+	}
+}
+
+// TestBERValidation pins Options.BER's one validation path on both
+// engines: a BER outside [0, 1], or a nonzero BER without DeepPHY (which
+// would be silently ignored), makes Scenario.Run fail with an error
+// naming Options.BER, and New panic with the same text.
+func TestBERValidation(t *testing.T) {
+	topo := phys.Sharded(2, 3, 1, 50)
+	cases := []struct {
+		name string
+		opts Options
+	}{
+		{"serial-no-deepphy", Options{Nodes: 4, Switches: 2, BER: 0.5}},
+		{"serial-negative", Options{Nodes: 4, Switches: 2, DeepPHY: true, BER: -1}},
+		{"serial-above-one", Options{Nodes: 4, Switches: 2, DeepPHY: true, BER: 1.5}},
+		{"serial-nan", Options{Nodes: 4, Switches: 2, DeepPHY: true, BER: math.NaN()}},
+		{"sharded-no-deepphy", Options{Fabric: &topo, Shards: 2, BER: 0.5}},
+		{"sharded-negative", Options{Fabric: &topo, Shards: 2, DeepPHY: true, BER: -1}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			_, err := Scenario{Opts: c.opts, For: sim.Millisecond}.Run()
+			if err == nil {
+				t.Fatal("Scenario.Run accepted the bad BER")
+			}
+			if !strings.Contains(err.Error(), "Options.BER") {
+				t.Fatalf("error %q does not name Options.BER", err)
+			}
+			if panicked := newPanic(c.opts); panicked != err.Error() {
+				t.Fatalf("New panicked with %q, want Scenario.Run's %q", panicked, err)
+			}
+		})
 	}
 }

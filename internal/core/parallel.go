@@ -131,7 +131,6 @@ func newParallel(opts Options) *Cluster {
 		eng.SetRecorder(opts.Telemetry)
 	}
 	c.Phys = ph
-	c.Net = nets[0]
 	c.Nets = nets
 	c.Assign = assign
 	c.par = eng
@@ -141,15 +140,12 @@ func newParallel(opts Options) *Cluster {
 }
 
 // EventsFired returns the total number of simulation events executed,
-// summed over every shard's kernel (one kernel on the serial engine).
+// summed over every shard's kernel. Each Net owns exactly one kernel
+// (the cluster's single kernel on the serial engine).
 func (c *Cluster) EventsFired() uint64 {
 	var n uint64
-	seen := map[*sim.Kernel]bool{}
-	for _, nd := range c.Nodes {
-		if !seen[nd.K] {
-			seen[nd.K] = true
-			n += nd.K.Fired
-		}
+	for _, net := range c.Nets {
+		n += net.K.Fired
 	}
 	return n
 }

@@ -231,20 +231,57 @@ func TestParallelValidationOnePath(t *testing.T) {
 			if verr := c.opts.ValidateParallel(); verr == nil || verr.Error() != err.Error() {
 				t.Fatalf("ValidateParallel = %v, want %q", verr, err)
 			}
-			panicked := func() (msg string) {
-				defer func() {
-					if r := recover(); r != nil {
-						msg = fmt.Sprint(r)
-					}
-				}()
-				New(c.opts).Close()
-				return ""
-			}()
-			if panicked != err.Error() {
+			if panicked := newPanic(c.opts); panicked != err.Error() {
 				t.Fatalf("New panicked with %q, want Scenario.Run's %q", panicked, err)
 			}
 		})
 	}
+}
+
+// TestSnapshotPartition: a directly driven sharded cluster's Snapshot
+// carries the partition fields, and its Summary prints the same
+// partition line Scenario.Run's report prints for the same options.
+func TestSnapshotPartition(t *testing.T) {
+	topo := phys.Sharded(2, 3, 1, 50)
+	opts := Options{Fabric: &topo, Shards: 2}
+	rep, err := Scenario{Opts: opts, For: sim.Millisecond}.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := New(opts)
+	defer c.Close()
+	if err := c.Boot(0); err != nil {
+		t.Fatal(err)
+	}
+	snap := c.Snapshot("direct")
+	if snap.Shards != 2 || snap.Partition == "" || snap.CutLinks == 0 {
+		t.Fatalf("snapshot partition fields unset: shards %d, partition %q, cut links %d",
+			snap.Shards, snap.Partition, snap.CutLinks)
+	}
+	partitionLine := func(summary string) string {
+		for _, l := range strings.Split(summary, "\n") {
+			if strings.Contains(l, "shards: partition") {
+				return l
+			}
+		}
+		return ""
+	}
+	got, want := partitionLine(snap.Summary()), partitionLine(rep.Summary())
+	if want == "" || got != want {
+		t.Fatalf("snapshot partition line %q, want Scenario.Run's %q", got, want)
+	}
+}
+
+// newPanic returns the text New panics with for o, or "" when New
+// accepts o.
+func newPanic(o Options) (msg string) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg = fmt.Sprint(r)
+		}
+	}()
+	New(o).Close()
+	return ""
 }
 
 // TestPoissonLoadDeterministicAndBursty verifies the Poisson arrival

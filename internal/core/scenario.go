@@ -86,14 +86,17 @@ type Report struct {
 	Healed bool `json:"healed"`
 	// Drops are congestion drops (must stay 0 — the slide-8
 	// guarantee); Lost are frames destroyed by failures; Delivered is
-	// total fabric deliveries.
+	// total fabric deliveries. All three are views of the Frames
+	// ledger: Drops = losses.fifo_full, Lost = dark_port + link_cut
+	// (FIFO-cleared frames appear only as losses.fifo_clear), and
+	// Delivered = wire_delivered.
 	Drops     uint64 `json:"congestion_drops"`
 	Lost      uint64 `json:"failure_losses"`
 	Delivered uint64 `json:"frames_delivered"`
 	// Frames is the frame-lifecycle ledger: where every frame the run
-	// created ended up, by typed cause (see internal/frameacct). Like
-	// the counters above it is a fabric-wide sum, so it is part of the
-	// serial/sharded byte-identical surface.
+	// created ended up, by typed cause (see internal/frameacct). It is
+	// a fabric-wide sum, so it is part of the serial/sharded
+	// byte-identical surface.
 	Frames *FrameReport `json:"frame_accounting,omitempty"`
 	// Events are the fired plan events with their heal windows.
 	Events []EventReport `json:"events,omitempty"`
@@ -403,14 +406,18 @@ func reportWire(c *Cluster) string {
 
 // Run executes the scenario and returns its report.
 func (s Scenario) Run() (*Report, error) {
-	// A scenario is user input end to end, so a malformed fabric is an
-	// error here, not the panic New reserves for programmatic misuse.
-	// The resolved topology is validated — Options.Wire included — so
-	// e.g. an explicit v1 on a >255-node fabric fails with the
-	// per-version address-space error instead of panicking in New.
+	// A scenario is user input end to end, so a bad BER or a malformed
+	// fabric is an error here, not the panic New reserves for
+	// programmatic misuse. The resolved topology is validated —
+	// Options.Wire included — so e.g. an explicit v1 on a >255-node
+	// fabric fails with the per-version address-space error instead of
+	// panicking in New.
 	{
 		opts := s.Opts
 		opts.fill()
+		if err := opts.checkBER(); err != nil {
+			return nil, err
+		}
 		topo := opts.topology()
 		if err := topo.Validate(); err != nil {
 			return nil, err
@@ -496,50 +503,25 @@ func (s Scenario) Run() (*Report, error) {
 		return nil, err
 	}
 
-	rep := &Report{
-		Name:      s.Name,
-		Seed:      c.Opts.Seed,
-		Nodes:     c.Opts.Nodes,
-		Switches:  c.Opts.Switches,
-		Fabric:    c.FabricName(),
-		Trunks:    c.Phys.NumTrunks(),
-		Wire:      reportWire(c),
-		BootNS:    int64(bootNS),
-		EndNS:     int64(c.Now()),
-		RingSize:  c.RingSize(),
-		Roster:    c.Roster(),
-		Healed:    c.Healed(),
-		Drops:     c.Drops(),
-		Lost:      c.Lost(),
-		Delivered: c.Delivered(),
-		Frames:    frameReport(c),
-	}
-	if c.Assign != nil {
-		rep.Shards = c.Assign.Shards
-		rep.Partition = c.Assign.Partition()
-		rep.LookaheadNS = int64(c.Lookahead())
-		rep.CutLinks = c.Assign.CutLinks
-		rep.MinCutFiberM = c.Assign.MinCutFiberM
-	}
-	applied := c.Applied()
-	for i, ae := range applied {
-		er := EventReport{AtNS: int64(ae.At), Event: ae.Event.String()}
+	rep := c.Snapshot(s.Name, actives...)
+	rep.BootNS = int64(bootNS)
+	// Attribute heal windows: each event's window runs to the next
+	// fired event (or the end of the run).
+	for i := range rep.Events {
+		er := &rep.Events[i]
 		window := c.Now()
-		if i+1 < len(applied) {
-			window = applied[i+1].At
+		if i+1 < len(rep.Events) {
+			window = sim.Time(rep.Events[i+1].AtNS)
 		}
 		for _, nodeAdopts := range adopts {
 			for _, at := range nodeAdopts {
-				if at > ae.At && at <= window && int64(at-ae.At) > er.HealNS {
-					er.HealNS = int64(at - ae.At)
+				if d := int64(at) - er.AtNS; d > 0 && at <= window && d > er.HealNS {
+					er.HealNS = d
 				}
 			}
 		}
-		rep.Events = append(rep.Events, er)
 	}
-	for _, a := range actives {
-		rep.Loads = append(rep.Loads, *a.Report())
-	}
+	// The telemetry plane's heal histogram reads the windows just set.
 	rep.Det = telemetryReport(c, rep.Events)
 	if c.Opts.TelemetryInReport {
 		rep.Telemetry = rep.Det
@@ -570,6 +552,13 @@ func (c *Cluster) Snapshot(name string, loads ...*ActiveLoad) *Report {
 		Lost:      c.Lost(),
 		Delivered: c.Delivered(),
 		Frames:    frameReport(c),
+	}
+	if c.Assign != nil {
+		rep.Shards = c.Assign.Shards
+		rep.Partition = c.Assign.Partition()
+		rep.LookaheadNS = int64(c.Lookahead())
+		rep.CutLinks = c.Assign.CutLinks
+		rep.MinCutFiberM = c.Assign.MinCutFiberM
 	}
 	for _, ae := range c.Applied() {
 		rep.Events = append(rep.Events, EventReport{AtNS: int64(ae.At), Event: ae.Event.String()})

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/frameacct"
 	"repro/internal/insertion"
 	"repro/internal/micropacket"
 	"repro/internal/netcache"
@@ -223,8 +224,8 @@ func TestBackpressureRetries(t *testing.T) {
 	if !bytes.Equal(dst.buf[:len(data)], data) {
 		t.Fatal("data lost under backpressure")
 	}
-	if r.net.Drops.N != 0 {
-		t.Fatalf("wire drops = %d", r.net.Drops.N)
+	if d := r.net.Acct.Losses[frameacct.LossFifoFull]; d != 0 {
+		t.Fatalf("wire drops = %d", d)
 	}
 	if r.engines[1].Gaps != 0 {
 		t.Fatalf("gaps = %d", r.engines[1].Gaps)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/baseline"
+	"repro/internal/frameacct"
 	"repro/internal/insertion"
 	"repro/internal/micropacket"
 	"repro/internal/phys"
@@ -81,12 +82,13 @@ func E3MultiStreamP(p Params, framesPerStream int) *Table {
 			})
 		}
 		k.Run()
+		drops := net.Acct.Losses[frameacct.LossFifoFull]
 		el := k.Now()
 		bits := float64(n*framesPerStream*wireB) * 8
 		t.Add("AmpNet insertion ring", fmt.Sprint(n), fmt.Sprint(framesPerStream),
-			el.String(), fmt.Sprintf("%.0f", bits/el.Seconds()/1e6), fmt.Sprint(net.Drops.N))
+			el.String(), fmt.Sprintf("%.0f", bits/el.Seconds()/1e6), fmt.Sprint(drops))
 		t.Metric("ampnet_mbps", bits/el.Seconds()/1e6)
-		t.Metric("ampnet_drops", float64(net.Drops.N))
+		t.Metric("ampnet_drops", float64(drops))
 	}
 
 	// Token ring: same offered pattern, one transmitter at a time.
@@ -116,9 +118,10 @@ func E3MultiStreamP(p Params, framesPerStream int) *Table {
 			}
 		}
 		el := k.Now()
+		drops := net.Acct.Losses[frameacct.LossFifoFull]
 		bits := float64(n*framesPerStream*wireB) * 8
 		t.Add("token ring (baseline)", fmt.Sprint(n), fmt.Sprint(framesPerStream),
-			el.String(), fmt.Sprintf("%.0f", bits/el.Seconds()/1e6), fmt.Sprint(net.Drops.N))
+			el.String(), fmt.Sprintf("%.0f", bits/el.Seconds()/1e6), fmt.Sprint(drops))
 		t.Metric("baseline_mbps", bits/el.Seconds()/1e6)
 	}
 	t.Note("insertion ring wins by overlapping streams on disjoint arcs; token ring is rotation-bound")
@@ -156,14 +159,15 @@ func E4AllToAllP(p Params, perNode int) *Table {
 			})
 		}
 		k.Run()
+		drops := net.Acct.Losses[frameacct.LossFifoFull]
 		verdict := "LOSSLESS"
-		if net.Drops.N != 0 || delivered != expected {
+		if drops != 0 || delivered != expected {
 			verdict = "FAIL"
 		}
 		t.Add("AmpNet insertion ring", fmt.Sprint(n), fmt.Sprint(perNode),
-			fmt.Sprint(delivered), fmt.Sprint(expected), fmt.Sprint(net.Drops.N), verdict)
+			fmt.Sprint(delivered), fmt.Sprint(expected), fmt.Sprint(drops), verdict)
 		t.Metric("ampnet_delivered", float64(delivered))
-		t.Metric("ampnet_drops", float64(net.Drops.N))
+		t.Metric("ampnet_drops", float64(drops))
 		t.Metric("completion_ns", float64(k.Now()))
 	}
 
@@ -187,13 +191,14 @@ func E4AllToAllP(p Params, perNode int) *Table {
 			})
 		}
 		k.Run()
+		drops := net.Acct.Losses[frameacct.LossFifoFull]
 		verdict := "drops frames"
-		if net.Drops.N == 0 && delivered == expected {
+		if drops == 0 && delivered == expected {
 			verdict = "lossless?!"
 		}
 		t.Add("drop-tail ring (baseline)", fmt.Sprint(n), fmt.Sprint(perNode),
-			fmt.Sprint(delivered), fmt.Sprint(expected), fmt.Sprint(net.Drops.N), verdict)
-		t.Metric("baseline_drops", float64(net.Drops.N))
+			fmt.Sprint(delivered), fmt.Sprint(expected), fmt.Sprint(drops), verdict)
+		t.Metric("baseline_drops", float64(drops))
 	}
 	t.Note("AmpNet's losslessness comes from transit priority + insert-when-idle + host backpressure")
 	return t
@@ -258,7 +263,7 @@ func E4aLoadSweepP(p Params) *Table {
 				k.After(sim.Time(i)*perNodeInterval/sim.Time(n), tick)
 			}
 			k.RunUntil(window + 5*sim.Millisecond)
-			return delivered, net.Drops.N
+			return delivered, net.Acct.Losses[frameacct.LossFifoFull]
 		}
 		offered := load * capacityFPS
 		dA, dropA := run(true)

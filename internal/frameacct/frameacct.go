@@ -296,9 +296,6 @@ func (a *Acct) DeviceLosses() uint64 {
 	return n
 }
 
-// TotalLosses sums every cause.
-func (a *Acct) TotalLosses() uint64 { return a.WireLosses() + a.DeviceLosses() }
-
 // ConsumedTotal sums every consume kind.
 func (a *Acct) ConsumedTotal() uint64 {
 	var n uint64

@@ -18,8 +18,9 @@
 // displaced by insertion, (b) insertion requires the egress queue to be
 // at or below InsertThreshold, and (c) a ring node has exactly one
 // upstream link, so transit arrivals can never exceed the line rate that
-// the egress serializes at. The experiments assert phys.Net.Drops == 0
-// under saturating all-to-all broadcast (experiment E4).
+// the egress serializes at. The experiments assert the Net ledger's
+// fifo_full loss count (phys.Net.Acct) stays 0 under saturating
+// all-to-all broadcast (experiment E4).
 //
 // Stripping rules: the destination strips unicast MicroPackets (allowing
 // spatial reuse — slide 7's multiple simultaneous streams); the source

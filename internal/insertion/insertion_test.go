@@ -3,6 +3,7 @@ package insertion
 import (
 	"testing"
 
+	"repro/internal/frameacct"
 	"repro/internal/micropacket"
 	"repro/internal/phys"
 	"repro/internal/sim"
@@ -55,8 +56,8 @@ func TestUnicastDeliveredAndStripped(t *testing.T) {
 	if st[3].Forwarded != 0 {
 		t.Fatalf("node 3 forwarded = %d, want 0 (no spatial leak)", st[3].Forwarded)
 	}
-	if net.Drops.N != 0 {
-		t.Fatalf("drops = %d", net.Drops.N)
+	if d := net.Acct.Losses[frameacct.LossFifoFull]; d != 0 {
+		t.Fatalf("drops = %d", d)
 	}
 }
 
@@ -77,8 +78,8 @@ func TestBroadcastFullTour(t *testing.T) {
 	if st[1].Stripped != 1 {
 		t.Fatalf("source stripped = %d, want 1", st[1].Stripped)
 	}
-	if net.Drops.N != 0 || net.Lost.N != 0 {
-		t.Fatalf("drops=%d lost=%d", net.Drops.N, net.Lost.N)
+	if l := net.Acct.WireLosses(); l != 0 {
+		t.Fatalf("wire losses = %d: %v", l, net.Acct.Losses)
 	}
 }
 
@@ -135,11 +136,11 @@ func TestAllToAllBroadcastLossless(t *testing.T) {
 		})
 	}
 	k.Run()
-	if net.Drops.N != 0 {
-		t.Fatalf("CONGESTION DROPS = %d; slide-8 guarantee violated", net.Drops.N)
+	if d := net.Acct.Losses[frameacct.LossFifoFull]; d != 0 {
+		t.Fatalf("CONGESTION DROPS = %d; slide-8 guarantee violated", d)
 	}
-	if net.Lost.N != 0 {
-		t.Fatalf("lost = %d with no failures", net.Lost.N)
+	if l := net.Acct.Losses[frameacct.LossDarkPort] + net.Acct.Losses[frameacct.LossLinkCut]; l != 0 {
+		t.Fatalf("lost = %d with no failures", l)
 	}
 	for i, c := range counts {
 		want := (n - 1) * per
@@ -170,8 +171,8 @@ func TestHostBackpressureNotWireDrops(t *testing.T) {
 		t.Fatal("Refused counter not incremented")
 	}
 	k.Run()
-	if net.Drops.N != 0 {
-		t.Fatalf("backpressure leaked to wire drops: %d", net.Drops.N)
+	if d := net.Acct.Losses[frameacct.LossFifoFull]; d != 0 {
+		t.Fatalf("backpressure leaked to wire drops: %d", d)
 	}
 }
 
@@ -280,7 +281,7 @@ func TestInsertThresholdAblation(t *testing.T) {
 		})
 	}
 	k.Run()
-	if net.Drops.N != 0 {
-		t.Fatalf("drops with threshold 8 = %d", net.Drops.N)
+	if d := net.Acct.Losses[frameacct.LossFifoFull]; d != 0 {
+		t.Fatalf("drops with threshold 8 = %d", d)
 	}
 }

@@ -3,6 +3,7 @@ package insertion
 import (
 	"testing"
 
+	"repro/internal/frameacct"
 	"repro/internal/micropacket"
 	"repro/internal/sim"
 )
@@ -35,8 +36,8 @@ func TestPerSourceFIFOUnderLoad(t *testing.T) {
 		})
 	}
 	k.Run()
-	if net.Drops.N != 0 {
-		t.Fatalf("drops = %d", net.Drops.N)
+	if d := net.Acct.Losses[frameacct.LossFifoFull]; d != 0 {
+		t.Fatalf("drops = %d", d)
 	}
 	for i := range lastSeen {
 		for src, last := range lastSeen[i] {
@@ -103,8 +104,8 @@ func TestLosslessAcrossFIFOSizes(t *testing.T) {
 			})
 		}
 		k.Run()
-		if net.Drops.N != 0 {
-			t.Fatalf("cap %d: drops = %d", cap, net.Drops.N)
+		if d := net.Acct.Losses[frameacct.LossFifoFull]; d != 0 {
+			t.Fatalf("cap %d: drops = %d", cap, d)
 		}
 	}
 }

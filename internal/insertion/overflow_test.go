@@ -3,6 +3,7 @@ package insertion
 import (
 	"testing"
 
+	"repro/internal/frameacct"
 	"repro/internal/micropacket"
 	"repro/internal/phys"
 	"repro/internal/sim"
@@ -48,8 +49,8 @@ func TestBroadcastToursRingPast255Nodes(t *testing.T) {
 			t.Fatalf("node %d expired %d transit frames on a healthy ring", i, stations[i].Expired)
 		}
 	}
-	if net.Drops.N != 0 {
-		t.Fatalf("congestion drops: %d", net.Drops.N)
+	if d := net.Acct.Losses[frameacct.LossFifoFull]; d != 0 {
+		t.Fatalf("congestion drops: %d", d)
 	}
 }
 

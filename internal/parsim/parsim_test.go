@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/frameacct"
 	"repro/internal/micropacket"
 	"repro/internal/phys"
 	"repro/internal/sim"
@@ -167,7 +168,7 @@ func TestSplitLinkFailDropsInFlight(t *testing.T) {
 	if len(r.arrivals) != 0 {
 		t.Fatalf("frame survived a mid-flight fiber cut: %v", r.arrivals)
 	}
-	if r.n[0].Lost.N+r.n[1].Lost.N == 0 {
+	if r.n[0].Acct.Losses[frameacct.LossLinkCut]+r.n[1].Acct.Losses[frameacct.LossLinkCut] == 0 {
 		t.Fatal("in-flight loss not counted")
 	}
 }

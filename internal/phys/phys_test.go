@@ -3,6 +3,7 @@ package phys
 import (
 	"testing"
 
+	"repro/internal/frameacct"
 	"repro/internal/micropacket"
 	"repro/internal/sim"
 	"repro/internal/wire"
@@ -67,8 +68,8 @@ func TestPointToPointDelivery(t *testing.T) {
 	if got.Pkt.Src != 1 {
 		t.Fatalf("wrong frame delivered: %v", got.Pkt)
 	}
-	if n.Delivered.N != 1 || n.Drops.N != 0 || n.Lost.N != 0 {
-		t.Fatalf("counters: %+v %+v %+v", n.Delivered, n.Drops, n.Lost)
+	if a := &n.Acct; a.WireDelivered != 1 || a.WireLosses() != 0 {
+		t.Fatalf("ledger: delivered %d, wire losses %v", a.WireDelivered, a.Losses)
 	}
 }
 
@@ -129,8 +130,8 @@ func TestFIFOOverflowDrops(t *testing.T) {
 	if ok != 4 {
 		t.Fatalf("accepted %d, want 4", ok)
 	}
-	if n.Drops.N != 6 {
-		t.Fatalf("drops = %d, want 6", n.Drops.N)
+	if d := n.Acct.Losses[frameacct.LossFifoFull]; d != 6 {
+		t.Fatalf("drops = %d, want 6", d)
 	}
 	k.Run()
 }
@@ -141,7 +142,7 @@ func TestUnconnectedSendFails(t *testing.T) {
 	if a.Send(dataFrame(1, 2)) {
 		t.Fatal("send on unconnected port succeeded")
 	}
-	if n.Lost.N != 1 {
+	if n.Acct.Losses[frameacct.LossDarkPort] != 1 {
 		t.Fatal("loss not counted")
 	}
 }
@@ -159,8 +160,8 @@ func TestLinkFailLosesInFlight(t *testing.T) {
 	if delivered != 0 {
 		t.Fatal("frame delivered across failed link")
 	}
-	if n.Lost.N != 1 {
-		t.Fatalf("lost = %d, want 1", n.Lost.N)
+	if l := n.Acct.Losses[frameacct.LossLinkCut]; l != 1 {
+		t.Fatalf("lost = %d, want 1", l)
 	}
 }
 

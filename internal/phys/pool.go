@@ -100,7 +100,6 @@ func (t *txDone) dispatch() {
 	if link.epoch != epoch {
 		return
 	}
-	p.Sent++
 	p.popFrame()
 	p.startTx()
 	if p.onTxDone != nil {

@@ -3,6 +3,7 @@ package phys
 import (
 	"testing"
 
+	"repro/internal/frameacct"
 	"repro/internal/micropacket"
 	"repro/internal/sim"
 )
@@ -69,8 +70,8 @@ func TestSendPriorityOnDarkLink(t *testing.T) {
 	if a.SendPriority(newFrameV1(micropacket.NewRostering(1, 0, [8]byte{}))) {
 		t.Fatal("priority send on dark link accepted")
 	}
-	if n.Lost.N != 1 {
-		t.Fatalf("lost = %d", n.Lost.N)
+	if l := n.Acct.Losses[frameacct.LossDarkPort]; l != 1 {
+		t.Fatalf("lost = %d", l)
 	}
 	k.Run()
 }

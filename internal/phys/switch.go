@@ -40,9 +40,7 @@ type Switch struct {
 	latency   sim.Time
 	failed    bool
 
-	// Flooded and Forwarded count rostering floods and crossbar
-	// forwards for diagnostics.
-	Flooded   uint64
+	// Forwarded counts crossbar forwards for diagnostics.
 	Forwarded uint64
 	// Unrouted counts packets that arrived with no crossbar or VC entry.
 	Unrouted uint64
@@ -248,7 +246,6 @@ func (s *Switch) receiveFlood(in int, f Frame) {
 			if i == in || !p.Up() {
 				continue
 			}
-			s.Flooded++
 			p.SendPriority(f)
 		}
 	})

@@ -100,11 +100,3 @@ func TestSampleSumAndObserveTime(t *testing.T) {
 		t.Fatal("empty String")
 	}
 }
-
-func TestHistogramUnsortedBounds(t *testing.T) {
-	h := NewHistogram("h", []float64{100, 10}) // constructor sorts
-	h.Observe(50)
-	if h.Counts[1] != 1 {
-		t.Fatalf("bucketing after sort: %v", h.Counts)
-	}
-}

@@ -335,40 +335,3 @@ func TestSampleStddev(t *testing.T) {
 		t.Fatalf("Stddev = %v, want 2", got)
 	}
 }
-
-func TestRate(t *testing.T) {
-	r := NewRate("bytes", 0)
-	r.Add(1e9)
-	if got := r.Per(Second); got != 1e9 {
-		t.Fatalf("rate = %v, want 1e9/s", got)
-	}
-	if got := r.Per(0); got != 0 {
-		t.Fatalf("rate at zero elapsed = %v, want 0", got)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram("h", []float64{10, 100})
-	h.Observe(5)
-	h.Observe(50)
-	h.Observe(500)
-	if h.Total() != 3 {
-		t.Fatalf("total = %d", h.Total())
-	}
-	if h.Counts[0] != 1 || h.Counts[1] != 1 || h.Counts[2] != 1 {
-		t.Fatalf("bucket counts = %v", h.Counts)
-	}
-	want := (5.0 + 50 + 500) / 3
-	if h.Mean() != want {
-		t.Fatalf("mean = %v, want %v", h.Mean(), want)
-	}
-}
-
-func TestCounter(t *testing.T) {
-	c := &Counter{Name: "c"}
-	c.Inc()
-	c.Add(4)
-	if c.N != 5 {
-		t.Fatalf("counter = %d, want 5", c.N)
-	}
-}

@@ -6,18 +6,6 @@ import (
 	"sort"
 )
 
-// Counter is a monotonically increasing event count.
-type Counter struct {
-	Name string
-	N    uint64
-}
-
-// Add increments the counter by n.
-func (c *Counter) Add(n uint64) { c.N += n }
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.N++ }
-
 // Sample accumulates scalar observations and reports summary statistics.
 // It keeps all values so exact percentiles can be reported; experiments
 // in this repository observe at most a few million samples.
@@ -117,66 +105,4 @@ func (s *Sample) ensureSorted() {
 func (s *Sample) String() string {
 	return fmt.Sprintf("%s: n=%d mean=%.3g min=%.3g p50=%.3g p99=%.3g max=%.3g",
 		s.Name, s.N(), s.Mean(), s.Min(), s.Percentile(50), s.Percentile(99), s.Max())
-}
-
-// Rate tracks a quantity accumulated over virtual time, e.g. bytes
-// delivered, and reports a rate when asked.
-type Rate struct {
-	Name  string
-	Total float64
-	start Time
-}
-
-// NewRate returns a rate accumulator anchored at start.
-func NewRate(name string, start Time) *Rate { return &Rate{Name: name, start: start} }
-
-// Add accumulates amount.
-func (r *Rate) Add(amount float64) { r.Total += amount }
-
-// Per returns Total divided by the elapsed virtual time (in units per
-// second), measured from the anchor to now.
-func (r *Rate) Per(now Time) float64 {
-	el := now - r.start
-	if el <= 0 {
-		return 0
-	}
-	return r.Total / el.Seconds()
-}
-
-// Histogram is a fixed-bucket histogram for latency-style distributions
-// where exact percentiles are not required but memory must stay bounded.
-type Histogram struct {
-	Name   string
-	Bounds []float64 // ascending upper bounds; final bucket is +inf
-	Counts []uint64
-	total  uint64
-	sum    float64
-}
-
-// NewHistogram returns a histogram with the given ascending bucket
-// upper bounds (an overflow bucket is added automatically).
-func NewHistogram(name string, bounds []float64) *Histogram {
-	b := make([]float64, len(bounds))
-	copy(b, bounds)
-	sort.Float64s(b)
-	return &Histogram{Name: name, Bounds: b, Counts: make([]uint64, len(b)+1)}
-}
-
-// Observe records one value.
-func (h *Histogram) Observe(v float64) {
-	i := sort.SearchFloat64s(h.Bounds, v)
-	h.Counts[i]++
-	h.total++
-	h.sum += v
-}
-
-// Total returns the number of observations.
-func (h *Histogram) Total() uint64 { return h.total }
-
-// Mean returns the mean of observed values.
-func (h *Histogram) Mean() float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return h.sum / float64(h.total)
 }
